@@ -16,10 +16,13 @@ the original full-cluster behaviour.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping
+from typing import TYPE_CHECKING, Iterable, Mapping
 
 from repro.core.types import Dataset
 from repro.util.validation import check_positive
+
+if TYPE_CHECKING:
+    from repro.cluster.journal import Journal
 
 __all__ = ["ReplicaError", "ReplicaStore"]
 
@@ -46,7 +49,7 @@ class ReplicaStore:
         spans the whole cluster (the original behaviour).
     """
 
-    __slots__ = ("max_replicas", "_origins", "_locations", "_external")
+    __slots__ = ("max_replicas", "_origins", "_locations", "_external", "_journal")
 
     def __init__(
         self,
@@ -76,6 +79,13 @@ class ReplicaStore:
                 for d in datasets.values()
                 if d.origin_node not in local
             }
+        self._journal: Journal | None = None
+
+    def attach(self, journal: Journal) -> None:
+        """Record undo entries in ``journal``: while one of its frames is
+        open, the first change to a dataset's holder set saves the set as
+        a ``frozenset`` so rollback can rebuild it."""
+        self._journal = journal
 
     # -- queries ----------------------------------------------------------
 
@@ -141,6 +151,7 @@ class ReplicaStore:
             raise ReplicaError(
                 f"dataset {dataset_id} already has K={self.max_replicas} copies"
             )
+        self._save(dataset_id)
         locs.add(node)
 
     def remove(self, dataset_id: int, node: int) -> None:
@@ -155,12 +166,23 @@ class ReplicaStore:
             raise ReplicaError(
                 f"cannot remove the origin copy of dataset {dataset_id}"
             )
-        try:
-            self._locations[dataset_id].remove(node)
-        except KeyError:
+        locs = self._locations[dataset_id]
+        if node not in locs:
             raise ReplicaError(
                 f"dataset {dataset_id} has no copy on node {node}"
-            ) from None
+            )
+        self._save(dataset_id)
+        locs.remove(node)
+
+    def _save(self, dataset_id: int) -> None:
+        journal = self._journal
+        if journal is not None and journal.claim(dataset_id):
+            journal.record(
+                dataset_id, self._reset, dataset_id, self.nodes(dataset_id)
+            )
+
+    def _reset(self, dataset_id: int, holders: frozenset[int]) -> None:
+        self._locations[dataset_id] = set(holders)
 
     # -- snapshots ------------------------------------------------------------
 
@@ -170,4 +192,6 @@ class ReplicaStore:
 
     def restore(self, snap: Mapping[int, Iterable[int]]) -> None:
         """Replace the location table with a snapshot copy."""
+        for d_id in self._locations:
+            self._save(d_id)
         self._locations = {d: set(locs) for d, locs in snap.items()}

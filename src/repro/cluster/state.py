@@ -7,9 +7,11 @@ provides the two operations every placement algorithm needs:
 * ``serve(query, dataset, node)`` — place a replica if needed and allocate
   ``|S_n|·r_m`` GHz on the node, returning the resulting
   :class:`~repro.core.types.Assignment`;
-* ``transaction()`` — a context manager that snapshots state on entry and
-  rolls back unless the block calls :meth:`Transaction.commit` (used for
-  all-or-nothing admission of multi-dataset queries).
+* ``transaction()`` — a context manager that rolls back every mutation
+  made inside the block unless it calls :meth:`Transaction.commit` (used
+  for all-or-nothing admission of multi-dataset queries).  The ledgers
+  journal their own undo records (:mod:`repro.cluster.journal`), so a
+  transaction costs what its block touches, not a copy of the state.
 
 A state may be *shard-scoped* (``shard_nodes=...``): it then owns ledgers
 for a subset of the placement nodes only, masks every other node out of
@@ -32,6 +34,7 @@ from typing import TYPE_CHECKING, Iterable, Iterator, Mapping
 
 import numpy as np
 
+from repro.cluster.journal import Journal
 from repro.cluster.node import CapacityError, ComputeNode, _EPS
 from repro.cluster.replicas import ReplicaError, ReplicaStore
 from repro.core.instance import ProblemInstance
@@ -135,15 +138,6 @@ class ClusterState:
                     v for v in instance.placement_nodes if v in wanted
                 )
         self.shard_nodes: tuple[int, ...] | None = shard_nodes
-        if shard_nodes is None:
-            self._shard_index: np.ndarray | None = None
-        else:
-            node_index = instance.node_index
-            self._shard_index = np.fromiter(
-                (node_index[v] for v in shard_nodes),
-                dtype=np.intp,
-                count=len(shard_nodes),
-            )
         members = instance.placement_nodes if shard_nodes is None else shard_nodes
         self.nodes: dict[int, ComputeNode] = {
             v: ComputeNode(
@@ -156,6 +150,19 @@ class ClusterState:
         self.replicas = ReplicaStore(
             instance.datasets, instance.max_replicas, local_nodes=shard_nodes
         )
+        # Every ledger journals into one undo log and keeps its own entries
+        # of the available/utilisation vectors current (out-of-shard
+        # entries stay -inf / 0.0).
+        self._journal = Journal()
+        self.replicas.attach(self._journal)
+        num_nodes = instance.num_placement_nodes
+        self._available = np.full(num_nodes, -np.inf)
+        self._utilization = np.zeros(num_nodes, dtype=np.float64)
+        node_index = instance.node_index
+        for v, ledger in self.nodes.items():
+            ledger.attach(
+                self._journal, self._available, self._utilization, node_index[v]
+            )
         self._down: set[int] = set()
         self._reservations: dict[str, Reservation] = {}
         #: Monotone mutation epoch.  Every state change that can alter a
@@ -235,10 +242,7 @@ class ClusterState:
         Returns the evicted tags in allocation (insertion) order so the
         caller can map them back to running queries.
         """
-        ledger = self.nodes[node]
-        tags = ledger.allocation_tags()
-        for tag in tags:
-            ledger.release(tag)
+        tags = self.nodes[node].release_all()
         if tags:
             self.touch()
         return tags
@@ -277,11 +281,12 @@ class ClusterState:
 
     # -- vectorised views -------------------------------------------------
     #
-    # These build fresh arrays from the per-node ledgers on every call (no
-    # incremental state to fall out of sync with direct ComputeNode
-    # mutations); each element is the exact float the scalar property
-    # returns, so vectorised feasibility decisions match scalar ones
-    # bit-for-bit.
+    # The ledgers maintain these vectors themselves: every ComputeNode
+    # mutation, direct ones included, rewrites its node's entries with
+    # the scalar properties' own expressions.  Each element is therefore
+    # the exact float the scalar property returns, so vectorised
+    # feasibility decisions match scalar ones bit-for-bit, and
+    # :meth:`check_invariants` verifies the vectors against ledgers.
 
     def available_array(self) -> np.ndarray:
         """``A(v)`` per placement node, in placement order (GHz).
@@ -291,21 +296,9 @@ class ClusterState:
         the form ``demand <= available + eps·capacity`` then auto-fails
         for them, which is what confines every screen, candidate set and
         placement rule to the shard without any of them knowing about
-        shards.
+        shards.  Returns a copy.
         """
-        if self.shard_nodes is None:
-            return np.fromiter(
-                (n.available_ghz for n in self.nodes.values()),
-                dtype=np.float64,
-                count=len(self.nodes),
-            )
-        out = np.full(self.instance.num_placement_nodes, -np.inf)
-        out[self._shard_index] = np.fromiter(
-            (n.available_ghz for n in self.nodes.values()),
-            dtype=np.float64,
-            count=len(self.nodes),
-        )
-        return out
+        return self._available.copy()
 
     def utilization_array(self) -> np.ndarray:
         """Utilisation fraction per placement node, in placement order.
@@ -313,20 +306,19 @@ class ClusterState:
         Full placement length; out-of-shard entries read 0.0 in a
         shard-scoped state (price terms only ever index candidate
         positions, which the ``-inf`` capacity mask keeps in-shard).
+        Returns a copy.
         """
-        if self.shard_nodes is None:
-            return np.fromiter(
-                (n.utilization for n in self.nodes.values()),
-                dtype=np.float64,
-                count=len(self.nodes),
-            )
-        out = np.zeros(self.instance.num_placement_nodes, dtype=np.float64)
-        out[self._shard_index] = np.fromiter(
-            (n.utilization for n in self.nodes.values()),
-            dtype=np.float64,
-            count=len(self.nodes),
-        )
-        return out
+        return self._utilization.copy()
+
+    def _rebuilt_arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Both vectors recomputed from the ledgers' scalar properties."""
+        available = np.full(self.instance.num_placement_nodes, -np.inf)
+        utilization = np.zeros(self.instance.num_placement_nodes, dtype=np.float64)
+        node_index = self.instance.node_index
+        for v, ledger in self.nodes.items():
+            available[node_index[v]] = ledger.available_ghz
+            utilization[node_index[v]] = ledger.utilization
+        return available, utilization
 
     def replica_presence_matrix(
         self, dataset_ids: Iterable[int] | None = None
@@ -372,7 +364,7 @@ class ClusterState:
         can take an allocation of ``amount_ghz``, with the same epsilon
         slack as the scalar check.
         """
-        return amount_ghz <= self.available_array() + _EPS * self.instance.capacities
+        return amount_ghz <= self._available + _EPS * self.instance.capacities
 
     def can_serve(self, query: Query, dataset: Dataset, node: int) -> bool:
         """Deadline + capacity + replica (+ liveness) feasibility at ``node``."""
@@ -548,18 +540,24 @@ class ClusterState:
 
     @contextmanager
     def transaction(self) -> Iterator[Transaction]:
-        """Snapshot state; roll back on exit unless committed.
+        """Roll back every mutation made in the block unless committed.
 
-        Up/down liveness is *not* part of the snapshot, but a rollback is
+        The ledgers journal undo records while the block runs (see
+        :mod:`repro.cluster.journal`): entering and committing cost O(1)
+        and a rollback O(what the block touched).  A rollback restores
+        ledger dict order, totals and replica sets exactly as a full
+        snapshot restore would.  Transactions nest; an inner commit hands
+        its records to the enclosing transaction.
+
+        Up/down liveness is *not* transactional, but a rollback is
         liveness-aware: if a node crashed *while the transaction was
         open* (the re-optimizer's write-behind migration steps and the
         serving gateway interleave transactions with fault events),
-        restoring the entry snapshot must not resurrect the allocations
-        the crash evicted or the replicas it destroyed — so after a
-        rollback every currently-down node is re-evicted and re-stripped
-        of non-origin replicas.  With no nodes down (the batch and
-        fault-free online paths) the rollback is the plain snapshot
-        restore, bit for bit.
+        undoing the block must not resurrect the allocations the crash
+        evicted or the replicas it destroyed — so after a rollback every
+        currently-down node is re-evicted and re-stripped of non-origin
+        replicas.  With no nodes down (the batch and fault-free online
+        paths) the rollback is the plain undo, bit for bit.
 
         Examples
         --------
@@ -568,16 +566,16 @@ class ClusterState:
         >>> #     for ds in query_datasets: state.serve(query, ds, pick(ds))
         >>> #     txn.commit()   # omit to roll everything back
         """
-        node_snaps = {v: n.snapshot() for v, n in self.nodes.items()}
-        replica_snap = self.replicas.snapshot()
+        journal = self._journal
+        journal.begin()
         txn = Transaction()
         try:
             yield txn
         finally:
-            if not txn.committed:
-                for v, ledger in node_snaps.items():
-                    self.nodes[v].restore(ledger)
-                self.replicas.restore(replica_snap)
+            if txn.committed:
+                journal.commit()
+            else:
+                journal.rollback()
                 for v in self._down:
                     self.evict_allocations(v)
                     self.drop_replicas(v)
@@ -600,7 +598,9 @@ class ClusterState:
         steps, after a transaction rollback, or after an injected crash:
 
         1. per-node ledgers are internally consistent (the cached total is
-           exactly the sum of the live allocations) and within capacity;
+           exactly the sum of the live allocations) and within capacity,
+           and the maintained available/utilisation vectors equal vectors
+           rebuilt from the ledgers, byte for byte;
         2. every dataset holds ≤ K copies, on placement nodes only, and
            its origin-ledger entry survives;
         3. crash semantics hold on every down node: no live allocations,
@@ -635,6 +635,18 @@ class ClusterState:
                 raise InvariantViolation(
                     f"node {v} load {ledger.allocated_ghz + ledger.reserved_ghz:.3f} "
                     f"GHz exceeds capacity {ledger.capacity_ghz:.3f} GHz"
+                )
+        for name, maintained, rebuilt in zip(
+            ("available", "utilization"),
+            (self._available, self._utilization),
+            self._rebuilt_arrays(),
+        ):
+            if maintained.tobytes() != rebuilt.tobytes():
+                bad = np.nonzero(maintained.view(np.int64) != rebuilt.view(np.int64))[0]
+                raise InvariantViolation(
+                    f"maintained {name} vector {maintained[bad].tolist()!r} != "
+                    f"ledgers {rebuilt[bad].tolist()!r} at placement positions "
+                    f"{bad.tolist()}"
                 )
         placement = (
             set(inst.placement_nodes)

@@ -19,7 +19,7 @@ integral solution by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -49,6 +49,10 @@ class NodePrices:
     """
 
     theta_floor: float = 0.01
+    #: Last ``(floor, exponents, prices)`` :meth:`theta_array` computed.
+    _memo: tuple[float, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         check_fraction("theta_floor", self.theta_floor)
@@ -72,15 +76,27 @@ class NodePrices:
         but the power itself goes through Python's ``**`` (C libm):
         NumPy's SIMD ``pow`` differs from libm by 1 ulp on some inputs,
         which would break bit-parity with the scalar path.
+
+        Each price depends on its exponent alone, so the prices from the
+        previous call are reused and ``**`` runs only where an exponent
+        changed — usually the node or two the last commit touched.
         """
         u = state.utilization_array()
         exponents = 1.0 - np.minimum(1.0, u)
         floor = self.theta_floor
-        return np.fromiter(
-            (floor**x for x in exponents.tolist()),
-            dtype=np.float64,
-            count=exponents.size,
-        )
+        memo = self._memo
+        if memo is not None and memo[0] == floor and memo[1].size == exponents.size:
+            prices = memo[2].copy()
+            for i in np.flatnonzero(exponents != memo[1]).tolist():
+                prices[i] = floor ** float(exponents[i])
+        else:
+            prices = np.fromiter(
+                (floor**x for x in exponents.tolist()),
+                dtype=np.float64,
+                count=exponents.size,
+            )
+        self._memo = (floor, exponents, prices)
+        return prices.copy()
 
 
 def dual_certificate(

@@ -357,6 +357,26 @@ class TestCheckInvariants:
         with pytest.raises(InvariantViolation, match="ledger"):
             state.check_invariants()
 
+    def test_detects_stale_maintained_vectors(self, tiny_instance):
+        state = ClusterState(tiny_instance)
+        ledger = state.nodes[tiny_instance.placement_nodes[4]]
+        # Bypass the ledger hooks: the ledger stays self-consistent, but
+        # the state's maintained vectors never hear of the change.
+        ledger._allocations[(9, 9)] = 1.0
+        ledger._total = 1.0
+        with pytest.raises(InvariantViolation, match="maintained available"):
+            state.check_invariants()
+
+    def test_maintained_vectors_track_direct_mutations(self, tiny_instance):
+        state = ClusterState(tiny_instance)
+        node = tiny_instance.placement_nodes[4]
+        state.nodes[node].allocate("direct", 1.5)
+        state.nodes[node].reserved_ghz = 0.5
+        state.check_invariants()
+        position = tiny_instance.node_index[node]
+        assert state.available_array()[position] == state.nodes[node].available_ghz
+        assert state.utilization_array()[position] == state.nodes[node].utilization
+
     def test_detects_over_replication(self, tiny_instance):
         state = ClusterState(tiny_instance)
         nodes = [

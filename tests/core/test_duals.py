@@ -22,6 +22,41 @@ class TestNodePricesValidation:
         assert all(0.0 < t <= 1.0 for t in thetas.values())
 
 
+class TestThetaArrayMemo:
+    def test_memoised_prices_track_every_change(self, paper_instance):
+        """One NodePrices reused across commits, releases, a rollback and
+        a second state: every call equals scalar ``theta`` bit for bit and
+        a fresh, memo-free NodePrices."""
+        prices = NodePrices(theta_floor=0.05)
+        states = [ClusterState(paper_instance), ClusterState(paper_instance)]
+
+        def check(state):
+            memo = prices.theta_array(state)
+            fresh = NodePrices(theta_floor=0.05).theta_array(state)
+            assert memo.tobytes() == fresh.tobytes()
+            for i, v in enumerate(paper_instance.placement_nodes):
+                assert memo[i] == prices.theta(state, v)
+
+        assignments = []
+        for query in paper_instance.queries[:40]:
+            state = states[query.query_id % 2]
+            dataset = paper_instance.dataset(query.demanded[0])
+            for node in paper_instance.placement_nodes:
+                if state.can_serve(query, dataset, node):
+                    assignments.append((state, state.serve(query, dataset, node)))
+                    break
+            check(state)
+        for state, a in assignments[::3]:
+            state.release(a)
+            check(state)
+        state = states[0]
+        with state.transaction():
+            for v, ledger in state.nodes.items():
+                ledger.allocate(("fill", v), ledger.available_ghz)
+            check(state)
+        check(state)
+
+
 class TestDualCertificate:
     def test_positive(self, paper_instance):
         state = ClusterState(paper_instance)

@@ -13,10 +13,9 @@ The harness is built so the cell measures the gateway, not the feeder:
   clone (~0.6 µs) instead of ``dataclasses.replace`` (~4 µs — it would
   dominate the loop).  Each clone gets a fresh ``query_id`` (hold
   allocation tags are keyed by id, so ids must never repeat within a
-  cell) and a minutely perturbed ``selectivity`` so the legacy engine's
+  cell) and a minutely perturbed ``selectivity`` so the gateway's
   per-pair latency cache sees an always-fresh key, exactly as it does
-  on live traffic — a recycled pool would otherwise warm that cache and
-  inflate the baseline.
+  on live traffic — a recycled pool would otherwise warm that cache.
 * Decisions resolve a two-method future stand-in (the admission worker
   only ever calls ``done()`` and ``set_result()``) that stamps the
   decision time; real ``asyncio.Future`` callback machinery costs more
@@ -30,15 +29,11 @@ The harness is built so the cell measures the gateway, not the feeder:
 
 Cells
 -----
-* ``legacy`` — the original per-pair prefilter, recorded as the in-run
-  reference point.
-* ``batch @ 16/256/1024`` — the stacked screening kernel
-  (:mod:`repro.serve.screenpool`) across micro-batch sizes.  The kernel
-  is decision-identical to ``legacy`` (pinned by
-  ``tests/serve/test_screenpool.py``); only the screen's cost differs.
-* optionally ``pool @ N`` (``REPRO_SERVE_SCREEN_WORKERS=N``) — the
-  prefork screening pool, recorded for the shared-memory/IPC cost
-  profile (on a single-CPU host the pool cannot beat inline).
+``batch @ 16/256/1024`` — the gateway's stacked screening kernel
+(:mod:`repro.serve.screenpool`) and commit loop across micro-batch
+sizes.  The kernel is decision-identical to the original per-pair
+prefilter (pinned against its test oracle by
+``tests/serve/test_screenpool.py``).
 
 Each cell runs ``REPRO_SUSTAINED_ROUNDS`` times and keeps its best
 round: virtualised hosts throttle sustained 100 %-CPU loops (burst
@@ -47,16 +42,14 @@ credits), and a capability bench wants the unthrottled figure.
 The acceptance gate is *absolute*: the best batch cell must sustain at
 least ``REPRO_SUSTAINED_MIN_SPEEDUP`` (default 4×) the recorded
 23,503 decisions/s drain-mode baseline (``results/serve.json``,
-drain @ 16, pre-kernel gateway).  The in-run legacy cell is reported
-alongside for a same-machine comparison.  See the "Serving throughput"
-section of ``docs/performance.md``.
+drain @ 16, pre-kernel gateway).  See the "Serving throughput" section
+of ``docs/performance.md``.
 
 Environment knobs (CI runs a reduced scale):
 ``REPRO_SUSTAINED_SECONDS`` (measured window per cell, default 3.0),
 ``REPRO_SUSTAINED_WARMUP`` (discarded warmup window, default 0.5),
 ``REPRO_SUSTAINED_ROUNDS`` (best-of rounds per cell, default 2),
-``REPRO_SUSTAINED_MIN_SPEEDUP`` (default 4.0),
-``REPRO_SERVE_SCREEN_WORKERS`` (default 0 = no pooled cell).
+``REPRO_SUSTAINED_MIN_SPEEDUP`` (default 4.0).
 """
 
 from __future__ import annotations
@@ -74,7 +67,7 @@ from conftest import emit
 
 from repro.core.types import Query
 from repro.experiments.runner import make_instance
-from repro.serve import AdmissionGateway, GatewayConfig, QueryFactory, ScreenPool
+from repro.serve import AdmissionGateway, GatewayConfig, QueryFactory
 from repro.serve.gateway import _Pending
 from repro.topology.twotier import TwoTierConfig
 from repro.workload.params import PaperDefaults
@@ -93,7 +86,6 @@ DURATION_S = float(os.environ.get("REPRO_SUSTAINED_SECONDS", "3.0"))
 WARMUP_S = float(os.environ.get("REPRO_SUSTAINED_WARMUP", "0.5"))
 ROUNDS = int(os.environ.get("REPRO_SUSTAINED_ROUNDS", "2"))
 MIN_SPEEDUP = float(os.environ.get("REPRO_SUSTAINED_MIN_SPEEDUP", "4.0"))
-SCREEN_WORKERS = int(os.environ.get("REPRO_SERVE_SCREEN_WORKERS", "0"))
 
 #: Latency histogram bucket upper bounds (ms, "le"; final bucket +inf).
 HIST_BUCKETS_MS = np.array(
@@ -127,7 +119,7 @@ def _clone(query: Query, query_id: int) -> Query:
     ``dataclasses.replace`` would re-run validation (~4 µs); a
     ``__dict__`` copy keeps the feeder out of the measurement.  The
     selectivity perturbation (≤ 1e-12 relative per id — far below any
-    deadline margin) guarantees the legacy latency cache never sees a
+    deadline margin) guarantees the latency cache never sees a
     repeated key, matching live traffic where every query draws a fresh
     alpha.
     """
@@ -145,9 +137,7 @@ async def _sustained_cell(
     base_queries: list[Query],
     *,
     label: str,
-    engine: str,
     max_batch: int,
-    workers: int = 1,
 ) -> dict:
     """Feed a standing backlog through the admission worker for a while.
 
@@ -161,15 +151,8 @@ async def _sustained_cell(
             max_batch=max_batch,
             queue_bound=QUEUE_BOUND,
             hold_factor=1e6,  # holds never release: pure admission path
-            screen_engine=engine,
-            screen_workers=workers,
         ),
     )
-    if workers > 1:
-        # Drain mode bypasses start() (no TCP listener), so arm the
-        # screening pool the way start() would.
-        gateway._pool = ScreenPool(gateway._statics, workers)
-        gateway._pool.start()
     pool_size = len(base_queries)
     next_id = pool_size  # ids must never repeat: hold tags are keyed by id
     offered = 0
@@ -225,9 +208,6 @@ async def _sustained_cell(
             await worker
         for handle in gateway._holds.values():
             handle.cancel()
-        if gateway._pool is not None:
-            gateway._pool.close()
-            gateway._pool = None
 
     decisions = decided() - before
     lat_ms = np.asarray(
@@ -240,9 +220,7 @@ async def _sustained_cell(
     batches = gateway.counters["batches"]
     return {
         "cell": label,
-        "engine": engine,
         "max_batch": max_batch,
-        "screen_workers": workers,
         "duration_s": duration,
         "decisions": int(decisions),
         "throughput_rps": decisions / duration,
@@ -250,7 +228,6 @@ async def _sustained_cell(
         "rejected": gateway.counters["rejected"],
         "batches": int(batches),
         "mean_batch": decided() / batches if batches else 0.0,
-        "stale_rescreens": gateway.screen_stale_rescreens,
         "latency_ms": {
             "mean": float(lat_ms.mean()),
             "p50": float(np.percentile(lat_ms, 50)),
@@ -271,26 +248,16 @@ def test_serve_sustained_throughput(benchmark, results_dir):
     factory = QueryFactory(instance, seed=LOAD_SEED)
     base_queries = [factory.make() for _ in range(QUERY_POOL)]
 
-    cells = [
-        ("legacy @ 16", dict(engine="legacy", max_batch=16)),
-        ("batch @ 16", dict(engine="batch", max_batch=16)),
-        ("batch @ 256", dict(engine="batch", max_batch=256)),
-        ("batch @ 1024", dict(engine="batch", max_batch=1024)),
-    ]
-    if SCREEN_WORKERS > 1:
-        cells.append(
-            (
-                f"pool @ {SCREEN_WORKERS}x256",
-                dict(engine="batch", max_batch=256, workers=SCREEN_WORKERS),
-            )
-        )
+    cells = [(f"batch @ {size}", size) for size in (16, 256, 1024)]
 
     def measure():
         best: dict[str, dict] = {}
         for round_idx in range(ROUNDS):
-            for label, kw in cells:
+            for label, max_batch in cells:
                 row = asyncio.run(
-                    _sustained_cell(instance, base_queries, label=label, **kw)
+                    _sustained_cell(
+                        instance, base_queries, label=label, max_batch=max_batch
+                    )
                 )
                 row["round"] = round_idx
                 if (
@@ -302,13 +269,9 @@ def test_serve_sustained_throughput(benchmark, results_dir):
 
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
-    legacy = next(r for r in rows if r["engine"] == "legacy")
-    batch_rows = [
-        r for r in rows if r["engine"] == "batch" and r["screen_workers"] == 1
-    ]
-    best = max(batch_rows, key=lambda r: r["throughput_rps"])
+    reference = rows[0]  # batch @ 16
+    best = max(rows, key=lambda r: r["throughput_rps"])
     speedup = best["throughput_rps"] / BASELINE_RPS
-    speedup_vs_legacy = best["throughput_rps"] / legacy["throughput_rps"]
 
     lines = [
         "=== sustained admission throughput "
@@ -324,16 +287,10 @@ def test_serve_sustained_throughput(benchmark, results_dir):
         )
     lines.append(
         f"best batch cell: {best['cell']} at {best['throughput_rps']:.0f} rps "
-        f"= {speedup:.1f}x the recorded {BASELINE_RPS:.0f} rps baseline "
-        f"({speedup_vs_legacy:.1f}x the in-run legacy cell)"
+        f"= {speedup:.1f}x the recorded {BASELINE_RPS:.0f} rps baseline"
     )
     host_cpus = os.cpu_count() or 1
-    if SCREEN_WORKERS > 1 and host_cpus < 2:
-        lines.append(
-            f"WARNING: pool cell armed on a single-CPU host ({host_cpus} "
-            "core): the prefork pool is correctness-pinned here but not a "
-            "measured win — read its row as IPC overhead, not speedup."
-        )
+    lines.append(f"host_cpus: {host_cpus}")
     emit(results_dir, "serve_sustained", "\n".join(lines))
     payload = {
         "host_cpus": host_cpus,
@@ -341,11 +298,9 @@ def test_serve_sustained_throughput(benchmark, results_dir):
         "warmup_s": WARMUP_S,
         "rounds": ROUNDS,
         "baseline_recorded_rps": BASELINE_RPS,
-        "legacy_rps": legacy["throughput_rps"],
         "best_rps": best["throughput_rps"],
         "best_cell": best["cell"],
         "speedup": speedup,
-        "speedup_vs_legacy": speedup_vs_legacy,
         "cells": rows,
     }
     (results_dir / "serve_sustained.json").write_text(
@@ -359,8 +314,11 @@ def test_serve_sustained_throughput(benchmark, results_dir):
     # many queries must have admitted at least as many.  (Exact
     # per-query parity is pinned by tests/serve/test_screenpool.py.)
     for r in rows:
-        if r["admitted"] + r["rejected"] >= legacy["admitted"] + legacy["rejected"]:
-            assert r["admitted"] >= legacy["admitted"]
+        if (
+            r["admitted"] + r["rejected"]
+            >= reference["admitted"] + reference["rejected"]
+        ):
+            assert r["admitted"] >= reference["admitted"]
     # The acceptance gate: the stacked kernel sustains >= MIN_SPEEDUP x
     # the recorded pre-kernel drain baseline on this machine.
     assert speedup >= MIN_SPEEDUP, (

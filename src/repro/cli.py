@@ -215,12 +215,6 @@ def build_parser() -> argparse.ArgumentParser:
                          "(0 = eager: flush the queued backlog)")
     p_serve.add_argument("--queue-bound", type=int, default=256,
                          help="pending-queue capacity before shedding")
-    p_serve.add_argument("--screen-workers", type=int, default=1,
-                         help="prefork screening processes sharding the "
-                              "batch prefilter (1 = screen inline)")
-    p_serve.add_argument("--uvloop", action="store_true",
-                         help="run on uvloop when installed "
-                              "(pip install .[perf]; stdlib loop otherwise)")
     p_serve.add_argument("--checkpoint", metavar="PATH", default=None,
                          help="checkpoint file; restored on startup when it "
                          "exists, rewritten periodically and on shutdown")
@@ -523,11 +517,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         NetFaultConfig,
         PreplacerConfig,
         ReoptimizerConfig,
-        maybe_install_uvloop,
     )
 
-    if args.uvloop:
-        maybe_install_uvloop()
     if args.shards > 1 and args.shard_index is None:
         return _cmd_serve_sharded(args)
 
@@ -608,8 +599,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             queue_bound=args.queue_bound,
-            screen_workers=args.screen_workers,
-            use_uvloop=args.uvloop,
             checkpoint_path=args.checkpoint,
             checkpoint_interval_s=args.checkpoint_interval,
             reopt=reopt,
@@ -681,8 +670,6 @@ def _cmd_serve_sharded(args: argparse.Namespace) -> int:
             max_batch=args.max_batch,
             max_wait_ms=args.max_wait_ms,
             queue_bound=args.queue_bound,
-            screen_workers=args.screen_workers,
-            use_uvloop=args.uvloop,
             checkpoint_path=args.checkpoint,
             checkpoint_interval_s=args.checkpoint_interval,
             reserve_ttl_s=args.reserve_ttl,

@@ -165,17 +165,6 @@ class ClusterState:
             )
         self._down: set[int] = set()
         self._reservations: dict[str, Reservation] = {}
-        #: Monotone mutation epoch.  Every state change that can alter a
-        #: feasibility screen (allocations, replica placement, liveness,
-        #: transaction rollback) bumps it, so an exported view of this
-        #: state can be stamped and later recognised as stale without
-        #: comparing arrays.  Reading it never mutates anything; it is
-        #: bookkeeping only and cannot change a decision.
-        self.generation: int = 0
-
-    def touch(self) -> None:
-        """Advance the mutation epoch (see :attr:`generation`)."""
-        self.generation += 1
 
     # -- liveness ---------------------------------------------------------
     #
@@ -227,14 +216,12 @@ class ClusterState:
         if node in self._down:
             raise ValueError(f"node {node} is already down")
         self._down.add(node)
-        self.touch()
 
     def mark_up(self, node: int) -> None:
         """Bring ``node`` back online."""
         if node not in self._down:
             raise ValueError(f"node {node} is not down")
         self._down.discard(node)
-        self.touch()
 
     def evict_allocations(self, node: int) -> tuple[object, ...]:
         """Drop every live allocation on ``node`` (a crash kills them).
@@ -242,10 +229,7 @@ class ClusterState:
         Returns the evicted tags in allocation (insertion) order so the
         caller can map them back to running queries.
         """
-        tags = self.nodes[node].release_all()
-        if tags:
-            self.touch()
-        return tags
+        return self.nodes[node].release_all()
 
     def drop_replicas(self, node: int) -> tuple[int, ...]:
         """Destroy the non-origin replicas on ``node`` (freeing K slots).
@@ -261,8 +245,6 @@ class ClusterState:
             if self.replicas.origin(d_id) != node:
                 self.replicas.remove(d_id, node)
                 dropped.append(d_id)
-        if dropped:
-            self.touch()
         return tuple(dropped)
 
     # -- feasibility ------------------------------------------------------
@@ -327,9 +309,8 @@ class ClusterState:
 
         Row ``r`` corresponds to ``dataset_ids[r]`` (the sorted dataset
         ids by default), column ``i`` to ``placement_nodes[i]``; an entry
-        is ``True`` iff that node holds a copy.  This is the
-        export-friendly form of :meth:`ReplicaStore.nodes` the screening
-        pool ships through shared memory.
+        is ``True`` iff that node holds a copy.  This is the dense form
+        of :meth:`ReplicaStore.nodes` the batch screen indexes.
         """
         inst = self.instance
         ids = sorted(inst.datasets) if dataset_ids is None else list(dataset_ids)
@@ -452,7 +433,6 @@ class ClusterState:
             if placed_here:
                 self.replicas.remove(dataset.dataset_id, node)
             raise
-        self.touch()
         return Assignment(
             query_id=query.query_id,
             dataset_id=dataset.dataset_id,
@@ -466,7 +446,6 @@ class ClusterState:
         self.nodes[assignment.node].release(
             (assignment.query_id, assignment.dataset_id)
         )
-        self.touch()
 
     # -- reservations -------------------------------------------------------
     #
@@ -533,7 +512,6 @@ class ClusterState:
             if any(tag[1] == d_id for tag in self.nodes[v].allocation_tags()):
                 continue  # another admission now depends on this copy
             self.replicas.remove(d_id, v)
-        self.touch()
         return reservation
 
     # -- transactions -------------------------------------------------------
@@ -579,7 +557,6 @@ class ClusterState:
                 for v in self._down:
                     self.evict_allocations(v)
                     self.drop_replicas(v)
-                self.touch()
 
     # -- invariants ----------------------------------------------------------
 

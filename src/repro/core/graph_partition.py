@@ -26,7 +26,6 @@ from __future__ import annotations
 
 import random
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.state import ClusterState
@@ -44,28 +43,21 @@ def partition_placement_nodes(
     instance: ProblemInstance,
     num_parts: int,
     seed: int = 0,
-    *,
-    method: str = "fast",
 ) -> dict[int, int]:
     """Partition placement nodes by recursive Kernighan–Lin bisection.
 
     Edge weights are inverse path delays between placement nodes (closer
     nodes attract each other into a part).  Returns node id → part id.
 
-    ``method`` selects the bisection engine: ``"fast"`` (default) runs
-    the vectorised reimplementation in :mod:`repro.core.kl`, whose output
-    matches ``"networkx"`` — the original
-    ``networkx.algorithms.community.kernighan_lin_bisection`` path, kept
-    as the parity reference.
+    Bisection runs the vectorised reimplementation in
+    :mod:`repro.core.kl`; its output matches the original
+    ``networkx.algorithms.community.kernighan_lin_bisection`` path
+    (``tests/core/partition_oracle.py``) partition for partition.
     """
     check_positive("num_parts", num_parts)
-    if method not in ("fast", "networkx"):
-        raise ValueError(f"unknown partition method: {method!r}")
     nodes = list(instance.placement_nodes)
     if num_parts <= 1 or len(nodes) <= 1:
         return {v: 0 for v in nodes}
-    if method == "networkx":
-        return _partition_reference(instance, num_parts, seed)
 
     idx = np.fromiter(nodes, dtype=np.intp, count=len(nodes))
     delays = np.asarray(instance.paths.delays_matrix())[np.ix_(idx, idx)]
@@ -111,34 +103,6 @@ def partition_placement_nodes(
         kl_refine_sides(weights[np.ix_(sel, sel)], side)
         a = {v for v in sub_nodes if not side[local[pos[v]]]}
         b = {v for v in sub_nodes if side[local[pos[v]]]}
-        parts.extend([set(a), set(b)])
-    return {v: i for i, part in enumerate(parts) for v in part}
-
-
-def _partition_reference(
-    instance: ProblemInstance, num_parts: int, seed: int
-) -> dict[int, int]:
-    """The original networkx-backed partitioner (parity reference)."""
-    nodes = list(instance.placement_nodes)
-    graph = nx.Graph()
-    graph.add_nodes_from(nodes)
-    for i, u in enumerate(nodes):
-        for v in nodes[i + 1 :]:
-            delay = instance.paths.delay(u, v)
-            if delay > 0:
-                graph.add_edge(u, v, weight=1.0 / delay)
-
-    parts: list[set[int]] = [set(nodes)]
-    while len(parts) < num_parts:
-        parts.sort(key=len, reverse=True)
-        largest = parts.pop(0)
-        if len(largest) <= 1:
-            parts.append(largest)
-            break
-        sub = graph.subgraph(largest)
-        a, b = nx.algorithms.community.kernighan_lin_bisection(
-            sub, weight="weight", seed=seed
-        )
         parts.extend([set(a), set(b)])
     return {v: i for i, part in enumerate(parts) for v in part}
 

@@ -13,10 +13,10 @@ Pieces
 * :mod:`repro.serve.protocol` — the wire format (versioned, validated).
 * :mod:`repro.serve.batcher` — the bounded micro-batching queue.
 * :mod:`repro.serve.gateway` — the admission gateway itself.
-* :mod:`repro.serve.shm` — shared-memory export of the hot
-  ``ClusterState`` arrays (seqlock-versioned numpy views).
-* :mod:`repro.serve.screenpool` — the vectorised screening kernel and
-  its prefork worker pool.
+* :mod:`repro.serve.screenpool` — the batch screen: one stacked
+  feasibility kernel over a micro-batch's (query, dataset) pairs.
+* :mod:`repro.serve.shm` — the screen's inputs: frozen per-instance
+  tables and a read of the live state arrays.
 * :mod:`repro.serve.reoptimizer` — the live re-optimization daemon:
   bounded-churn replica migration against demand drift.
 * :mod:`repro.serve.preplacer` — the predictive pre-placement daemon:
@@ -47,7 +47,6 @@ from repro.serve.gateway import (
     AdmissionGateway,
     GatewayConfig,
     GatewayThread,
-    maybe_install_uvloop,
 )
 from repro.serve.netfaults import (
     NetFaultConfig,
@@ -58,9 +57,9 @@ from repro.serve.preplacer import PreplaceReport, Preplacer, PreplacerConfig
 from repro.serve.protocol import ProtocolError, decode_message, encode_message
 from repro.serve.reoptimizer import CycleReport, Reoptimizer, ReoptimizerConfig
 from repro.serve.router import FrontRouter, RouterConfig, RouterThread
-from repro.serve.screenpool import ScreenPool, ScreenRows
+from repro.serve.screenpool import ScreenRows
 from repro.serve.shard import ShardCluster, ShardPlan
-from repro.serve.shm import ScreenStatics, SharedStateViews, StateSnapshot
+from repro.serve.shm import ScreenStatics, StateSnapshot
 
 __all__ = [
     "AdmissionGateway",
@@ -83,16 +82,13 @@ __all__ = [
     "ReoptimizerConfig",
     "RouterConfig",
     "RouterThread",
-    "ScreenPool",
     "ScreenRows",
     "ScreenStatics",
     "ShardCluster",
     "ShardPlan",
-    "SharedStateViews",
     "StateSnapshot",
     "decode_message",
     "encode_message",
-    "maybe_install_uvloop",
     "run_closed_loop",
     "run_open_loop",
 ]

@@ -185,16 +185,11 @@ class GatewayClient:
             )
         screen = payload.get("screen")
         if isinstance(screen, dict):
-            lines.append(
-                f"screen: engine={screen.get('engine', '-')} "
-                f"workers={screen.get('workers', '-')} "
-                f"stale_rescreens={screen.get('stale_rescreens', 0)}"
-            )
             for stage in ("screen_s", "commit_s"):
                 stats = screen.get(stage)
                 if isinstance(stats, dict) and stats.get("count"):
                     lines.append(
-                        f"  {stage[:-2]}/batch: mean {fmt_s(stats.get('mean_s'))}  "
+                        f"{stage[:-2]}/batch: mean {fmt_s(stats.get('mean_s'))}  "
                         f"p50 {fmt_s(stats.get('p50_s'))}  "
                         f"p90 {fmt_s(stats.get('p90_s'))}  "
                         f"p99 {fmt_s(stats.get('p99_s'))}"

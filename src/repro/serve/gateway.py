@@ -75,7 +75,6 @@ from repro.serve.netfaults import NetFaultConfig, NetFaultDaemon
 from repro.serve.preplacer import Preplacer, PreplacerConfig
 from repro.serve.reoptimizer import Reoptimizer, ReoptimizerConfig
 from repro.serve.screenpool import (
-    ScreenPool,
     build_rows,
     screen_rows,
     snapshot_state,
@@ -92,17 +91,9 @@ __all__ = [
     "AdmissionGateway",
     "GatewayConfig",
     "GatewayThread",
-    "maybe_install_uvloop",
 ]
 
 _FORMAT_CHECKPOINT = "repro/serve-checkpoint/v1"
-
-#: Screening engines a gateway can run, by config name.
-_ENGINES = ("batch", "legacy")
-
-#: Pool screens re-run after a generation mismatch before the loop gives
-#: up and screens inline against the live state.
-_MAX_RESCREENS = 3
 
 #: Admission-latency histogram bucket upper bounds (seconds, "le"
 #: semantics); the final implicit bucket is the +inf overflow.
@@ -116,24 +107,6 @@ _LATENCY_BUCKETS = np.array(
         1.0, 2.0, 5.0, 10.0,
     ]
 )
-
-
-def maybe_install_uvloop(enabled: bool = True) -> bool:
-    """Install the uvloop event-loop policy when the package is present.
-
-    Returns whether uvloop is now the active policy.  uvloop is an
-    optional dependency (``pip install repro[perf]``); without it the
-    stdlib selector loop is used and everything behaves identically —
-    only event-loop overhead differs.
-    """
-    if not enabled:
-        return False
-    try:
-        import uvloop  # noqa: PLC0415 - optional dependency probe
-    except ImportError:
-        return False
-    uvloop.install()
-    return True
 
 
 def _finite(value: float) -> float | None:
@@ -233,25 +206,6 @@ class GatewayConfig:
         default) disables the daemon entirely — paths are never
         recomputed, the path-cache generation stays 0, and the gateway
         behaves byte-for-byte like the pre-dynamics service.
-    screen_engine:
-        Batch feasibility screen implementation: ``"batch"`` (default)
-        runs the stacked screening kernel of
-        :mod:`repro.serve.screenpool` — one fancy-indexed latency matrix
-        per micro-batch, decision-identical to the original per-pair
-        prefilter (pinned by the parity suites); ``"legacy"`` retains
-        that original prefilter verbatim as the bit-parity reference.
-    screen_workers:
-        Screening parallelism.  ``1`` (default) screens inline on the
-        event loop; ``> 1`` preforks that many
-        :class:`~repro.serve.screenpool.ScreenPool` worker processes
-        screening micro-batch shards against shared-memory state views.
-        Workers only *screen* — the admission loop keeps sole commit
-        authority, and a screen computed against a stale state
-        generation is re-run.
-    use_uvloop:
-        Install uvloop's event-loop policy when the optional dependency
-        is available (``pip install repro[perf]``); silently falls back
-        to the stdlib loop otherwise.
     shard_nodes:
         Scope this gateway to a subset of the placement nodes (the
         sharded control plane's per-shard gateways; see
@@ -284,9 +238,6 @@ class GatewayConfig:
     reopt: ReoptimizerConfig | None = None
     predict: PreplacerConfig | None = None
     netfaults: NetFaultConfig | None = None
-    screen_engine: str = "batch"
-    screen_workers: int = 1
-    use_uvloop: bool = False
     shard_nodes: tuple[int, ...] | None = None
     shard_id: int | None = None
     reserve_ttl_s: float = 5.0
@@ -305,17 +256,6 @@ class GatewayConfig:
         if not 0.0 < self.compute_watermark <= 1.0:
             raise ValidationError(
                 f"compute_watermark must be in (0, 1], got {self.compute_watermark}"
-            )
-        if self.screen_engine not in _ENGINES:
-            raise ValidationError(
-                f"unknown screen_engine {self.screen_engine!r} "
-                f"(expected one of {list(_ENGINES)})"
-            )
-        check_positive("screen_workers", self.screen_workers)
-        if self.screen_engine == "legacy" and self.screen_workers > 1:
-            raise ValidationError(
-                "screen_workers > 1 requires the 'batch' screen_engine "
-                "(the pool runs the batch kernel)"
             )
         check_positive("reserve_ttl_s", self.reserve_ttl_s)
         if self.reopt is not None and self.shard_nodes is not None:
@@ -408,16 +348,9 @@ class AdmissionGateway:
         # hence the original behaviour — without the dynamics daemon).
         self._latency_cache: dict[tuple[int, int, float], np.ndarray] = {}
         self._latency_generation = instance.paths.generation
-        self._statics: ScreenStatics | None = (
-            ScreenStatics.from_instance(instance, shard_nodes=self.shard_nodes)
-            if self.config.screen_engine == "batch"
-            else None
+        self._statics = ScreenStatics.from_instance(
+            instance, shard_nodes=self.shard_nodes
         )
-        self._pool: ScreenPool | None = None
-        # Stale-view re-screens live outside ``counters`` on purpose:
-        # checkpoints serialise ``counters`` and must stay byte-identical
-        # across engines.
-        self.screen_stale_rescreens = 0
         self._screen_s = Summary()
         self._commit_s = Summary()
         self._latency_hist = np.zeros(_LATENCY_BUCKETS.size + 1, dtype=np.int64)
@@ -434,10 +367,9 @@ class AdmissionGateway:
         # and are exempt from the path check for their grace period.
         self._inflight_homes: dict[int, int] = {}
         self._reserved_homes: dict[str, int] = {}
-        # Two-phase reservation accounting lives outside ``counters`` for
-        # the same reason as ``screen_stale_rescreens``: checkpoints
-        # serialise ``counters`` and their bytes must not depend on
-        # whether a deployment is sharded.
+        # Two-phase reservation accounting lives outside ``counters``:
+        # checkpoints serialise ``counters`` and their bytes must not
+        # depend on whether a deployment is sharded.
         self.reserve_counters: dict[str, int] = {
             "reserved": 0,
             "committed": 0,
@@ -510,29 +442,27 @@ class AdmissionGateway:
         period, not dishonoured retroactively).
         """
         loop = asyncio.get_running_loop()
-        tags = [
-            tag
-            for ledger in self.state.nodes.values()
-            for tag in ledger.allocation_tags()
-        ]
-        by_query: dict[int, list[tuple[int, int]]] = {}
-        for q_id, d_id in tags:
-            by_query.setdefault(q_id, []).append((q_id, d_id))
-        for q_id, q_tags in by_query.items():
-            handle = loop.call_later(
+        by_query: dict[int, list[tuple[int, tuple[int, int]]]] = {}
+        for node_id, ledger in self.state.nodes.items():
+            for tag in ledger.allocation_tags():
+                by_query.setdefault(tag[0], []).append((node_id, tag))
+        for q_id, pairs in by_query.items():
+            self._holds[q_id] = loop.call_later(
                 self.config.recovery_hold_s,
-                lambda q=q_id, ts=tuple(q_tags): self._release_tags(q, ts),
+                lambda q=q_id, ps=tuple(pairs): self._release_tags(q, ps),
             )
-            self._holds[q_id] = handle
 
-    def _release_tags(self, q_id: int, tags: tuple[tuple[int, int], ...]) -> None:
+    def _release_tags(
+        self, q_id: int, pairs: tuple[tuple[int, tuple[int, int]], ...]
+    ) -> None:
+        """Release a recovered hold's ``(node, tag)`` allocations."""
         self._holds.pop(q_id, None)
         self._inflight.pop(q_id, None)
         self._inflight_homes.pop(q_id, None)
-        for node_id, ledger in self.state.nodes.items():
-            for tag in tags:
-                if tag in ledger.allocation_tags():
-                    ledger.release(tag)
+        for node_id, tag in pairs:
+            # A crash may have evicted the tag since the checkpoint loaded.
+            with contextlib.suppress(CapacityError):
+                self.state.nodes[node_id].release(tag)
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -548,10 +478,6 @@ class AdmissionGateway:
     async def start(self) -> None:
         """Bind the listener and spawn the worker/checkpoint tasks."""
         self._started_at = time.perf_counter()
-        if self.config.screen_workers > 1 and self._pool is None:
-            assert self._statics is not None  # enforced by GatewayConfig
-            self._pool = ScreenPool(self._statics, self.config.screen_workers)
-            self._pool.start()
         # The reader limit matches the protocol's hard line bound, so an
         # unframed peer overruns the buffer exactly when the protocol
         # would reject the line anyway — and gets an error response
@@ -614,9 +540,6 @@ class AdmissionGateway:
             for handle in self._reservation_timers.values():
                 handle.cancel()
             self._reservation_timers.clear()
-            if self._pool is not None:
-                self._pool.close()
-                self._pool = None
             if (
                 self.netfaults is not None
                 and self.instance.paths.generation > 0
@@ -664,26 +587,17 @@ class AdmissionGateway:
 
     # -- feasibility probes ------------------------------------------------
 
-    def refresh_network_statics(self) -> bool:
+    def refresh_network_statics(self) -> None:
         """Rebuild latency-derived statics after a path recompute.
 
         Called by the dynamics daemon once per epoch bump.  The cached
         latency vectors invalidate lazily (generation check in
-        :meth:`_latency_vector`); the screening statics rebuild eagerly
-        because pool workers hold them by value — when a pool is live it
-        is restarted over the new tables.  Returns whether a pool
-        restart happened.
+        :meth:`_latency_vector`); the screening statics copy the home
+        delay matrix, so they rebuild eagerly.
         """
-        if self._statics is not None:
-            self._statics = ScreenStatics.from_instance(
-                self.instance, shard_nodes=self.shard_nodes
-            )
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = ScreenPool(self._statics, self.config.screen_workers)
-            self._pool.start()
-            return True
-        return False
+        self._statics = ScreenStatics.from_instance(
+            self.instance, shard_nodes=self.shard_nodes
+        )
 
     def _latency_vector(self, query: Query, dataset_id: int) -> np.ndarray:
         """Cached analytic pair-latency vector (placement order)."""
@@ -734,116 +648,21 @@ class AdmissionGateway:
                 mask &= False
         return mask & (self._latency_vector(query, dataset_id) <= query.deadline_s)
 
-    def _dataset_gate(self, dataset_id: int) -> np.ndarray | None:
-        """Replica-slot + liveness node gate for one dataset.
+    def _screen(self, batch: list[_Pending]) -> list[bool]:
+        """Batch-start feasibility screen: one stacked kernel pass.
 
-        ``None`` means every node passes (slots remain, no nodes down) —
-        the common case, kept allocation-free.
+        All of the batch's (query, dataset) pairs are checked together —
+        capacity, deadline, replica-slot and liveness — against the live
+        state.  Feasibility only *shrinks* while the batch is served
+        (admissions consume capacity and replica slots; the screen and
+        the commit loop run without an await between them, so no release
+        fires mid-batch): a ``False`` here is exact, while a ``True`` is
+        optimistic and is re-checked on the admission path.
         """
-        state, inst = self.state, self.instance
-        gate: np.ndarray | None = None
-        if state.replicas.remaining_slots(dataset_id) <= 0:
-            gate = np.zeros(inst.num_placement_nodes, dtype=bool)
-            holders = state.replicas.nodes(dataset_id)
-            if holders:
-                gate[[inst.node_index[v] for v in holders]] = True
-        if state.has_down_nodes:
-            up = state.up_mask()
-            gate = up if gate is None else gate & up
-            if not state.has_live_copy(dataset_id):
-                gate = np.zeros(inst.num_placement_nodes, dtype=bool)
-        return gate
-
-    def _prefilter(
-        self, batch: list[_Pending], available: np.ndarray
-    ) -> list[bool]:
-        """Vectorised batch-start feasibility screen.
-
-        All of the batch's (query, dataset) pairs are checked in one
-        stacked pass — capacity, deadline, replica-slot and liveness — so
-        the per-pair numpy call overhead amortises over the batch.  The
-        screen is evaluated against batch-start state: since feasibility
-        only *shrinks* while the batch is served (admissions consume
-        capacity and replica slots; releases cannot fire mid-batch), a
-        ``False`` here is exact, while a ``True`` is optimistic and is
-        re-checked on the admission path.
-        """
-        inst = self.instance
-        pairs: list[tuple[int, int, Query]] = [
-            (i, d_id, pending.query)
-            for i, pending in enumerate(batch)
-            for d_id in pending.query.demanded
-        ]
-        num_nodes = inst.num_placement_nodes
-        latency = np.empty((len(pairs), num_nodes))
-        demand = np.empty(len(pairs))
-        deadline = np.empty(len(pairs))
-        for row, (_, d_id, query) in enumerate(pairs):
-            latency[row] = self._latency_vector(query, d_id)
-            demand[row] = inst.dataset(d_id).volume_gb * query.compute_rate
-            deadline[row] = query.deadline_s
-        node_ok = demand[:, None] <= available[None, :] + _EPS * inst.capacities
-        node_ok &= latency <= deadline[:, None]
-        gates: dict[int, np.ndarray | None] = {}
-        for row, (_, d_id, _query) in enumerate(pairs):
-            if d_id not in gates:
-                gates[d_id] = self._dataset_gate(d_id)
-            if gates[d_id] is not None:
-                node_ok[row] &= gates[d_id]
-        pair_ok = node_ok.any(axis=1)
-        verdict = [True] * len(batch)
-        for row, (i, _d_id, _query) in enumerate(pairs):
-            if not pair_ok[row]:
-                verdict[i] = False
-        return verdict
-
-    async def _screen(
-        self, batch: list[_Pending], available: np.ndarray
-    ) -> list[bool]:
-        """Batch feasibility screen via the configured engine.
-
-        ``legacy`` runs the original per-pair prefilter; ``batch`` runs
-        the stacked kernel — inline (synchronously, preserving the
-        no-mid-batch-mutation invariant) for ``screen_workers == 1``, or
-        through the prefork pool otherwise.  All three produce the same
-        verdicts for the same state (pinned by the parity suites).
-        """
-        if self.config.screen_engine == "legacy":
-            return self._prefilter(batch, available)
-        assert self._statics is not None
         rows = build_rows([p.query for p in batch], self._statics)
-        if self._pool is not None:
-            verdict = await self._screen_pooled(rows, len(batch))
-            if verdict is not None:
-                return verdict
         view = snapshot_state(self.state, self._statics)
         pair_ok = screen_rows(self._statics, view, rows)
         return verdicts_from_pairs(rows, pair_ok, len(batch))
-
-    async def _screen_pooled(self, rows, batch_size: int) -> list[bool] | None:
-        """One pooled screen round-trip with stale-view detection.
-
-        Publishes the live arrays, fans the pair rows out to the workers
-        (off-loop, so timers keep firing), and accepts the verdicts only
-        if no state mutation raced the screen — the generation stamp the
-        workers echo back and the live state's generation must both still
-        match the published one.  After ``_MAX_RESCREENS`` stale rounds
-        the caller screens inline against the live state instead
-        (``None``).
-        """
-        assert self._pool is not None
-        obs = get_registry()
-        loop = asyncio.get_running_loop()
-        for _ in range(_MAX_RESCREENS):
-            published = self._pool.publish(self.state)
-            pair_ok, oldest = await loop.run_in_executor(
-                None, self._pool.screen, rows, published
-            )
-            if oldest >= published and self.state.generation == published:
-                return verdicts_from_pairs(rows, pair_ok, batch_size)
-            self.screen_stale_rescreens += 1
-            obs.inc("serve.screen.stale_rescreens")
-        return None
 
     # -- admission ---------------------------------------------------------
 
@@ -855,7 +674,7 @@ class AdmissionGateway:
         A ``None`` second element means state did not change and the
         caller's available vector remains valid for the rest of the batch.
         ``probe=False`` skips the per-pair pre-probe when the caller's
-        batch prefilter verdict is still exact (no mid-batch mutation) —
+        batch screen verdict is still exact (no mid-batch mutation) —
         the placement rule remains the authoritative feasibility check.
         """
         query = pending.query
@@ -935,13 +754,9 @@ class AdmissionGateway:
         for a in self._inflight.pop(q_id, ()):
             with contextlib.suppress(CapacityError):
                 self.state.release(a)
-        swept = False
         for ledger in self.state.nodes.values():
             for tag in [t for t in ledger.allocation_tags() if t[0] == q_id]:
                 ledger.release(tag)
-                swept = True
-        if swept:
-            self.state.touch()
 
     def _release_query(self, q_id: int) -> None:
         self._holds.pop(q_id, None)
@@ -960,9 +775,7 @@ class AdmissionGateway:
     # unanimous accept, abort otherwise.  Each handler below is fully
     # synchronous (no awaits between probe and commit), so a reservation
     # can never interleave with the admission worker's batch — the same
-    # event-loop atomicity the inline screen relies on.  Reserves mutate
-    # state through ``serve()``, which bumps the generation stamp, so a
-    # pooled screen that raced one is detected and re-run.
+    # event-loop atomicity the screen relies on.
 
     @staticmethod
     def _assignment_payload(assignments: tuple[Assignment, ...]) -> list[dict]:
@@ -1127,23 +940,19 @@ class AdmissionGateway:
             self.counters["batches"] += 1
             obs.observe("serve.batch_size", len(batch))
             available = self.state.available_array()
-            feasible = await self._screen(batch, available)
-            if self._pool is not None:
-                # Holds may have released while the pool screened;
-                # refresh so the per-item probes see the live vector.
-                available = self.state.available_array()
+            feasible = self._screen(batch)
             screened = time.perf_counter()
             mutated = False
             latencies.clear()
-            for pending, prefilter_ok in zip(batch, feasible):
+            for pending, screen_ok in zip(batch, feasible):
                 if self.reoptimizer is not None:
                     self.reoptimizer.observe(pending.query)
                 if self.preplacer is not None:
                     self.preplacer.observe(pending.query)
-                if not prefilter_ok:
+                if not screen_ok:
                     response = self._rejected_response()
                 else:
-                    # The prefilter verdict is exact until an admission
+                    # The screen verdict is exact until an admission
                     # mutates state mid-batch; after that, re-probe.
                     try:
                         response, fresh = self._admit_one(
@@ -1408,9 +1217,6 @@ class AdmissionGateway:
             "recovered": self.recovered,
             "counters": dict(self.counters),
             "screen": {
-                "engine": self.config.screen_engine,
-                "workers": self.config.screen_workers,
-                "stale_rescreens": self.screen_stale_rescreens,
                 "screen_s": _summary_payload(self._screen_s),
                 "commit_s": _summary_payload(self._commit_s),
             },
@@ -1521,8 +1327,6 @@ class GatewayThread:
         return self.gateway.address
 
     def _run(self) -> None:
-        if self.gateway.config.use_uvloop:
-            maybe_install_uvloop()
         self._loop = asyncio.new_event_loop()
         asyncio.set_event_loop(self._loop)
 

@@ -14,10 +14,8 @@ single invalidation signal every latency consumer observes:
 
 * the gateway's and the front router's cached pair-latency vectors are
   keyed by generation and rebuild lazily on the next probe;
-* the screening pool's :class:`~repro.serve.shm.ScreenStatics` (the
-  static home→placement latency matrix forked into the workers) is
-  rebuilt eagerly by the daemon, restarting the pool when one is live —
-  workers hold the statics by value, so only a restart refreshes them;
+* the batch screen's :class:`~repro.serve.shm.ScreenStatics` (a copy
+  of the home→placement delay matrix) is rebuilt eagerly by the daemon;
 * in-flight queries whose serving node was partitioned from their home
   are evicted (their compute released, ``serve.netfault.interrupted``)
   before :meth:`~repro.cluster.state.ClusterState.check_invariants`
@@ -103,7 +101,6 @@ class NetFaultCycleReport:
     evicted: int = 0
     generation: int = 0
     link_availability: float = 1.0
-    pool_restarted: bool = False
     reason: str = ""
     duration_s: float = 0.0
 
@@ -237,9 +234,7 @@ class NetFaultDaemon:
             self.link_state.effective_delays()
         )
         obs.inc("serve.netfault.recomputes")
-        pool_restarted = self.gateway.refresh_network_statics()
-        if pool_restarted:
-            obs.inc("serve.netfault.pool_restarts")
+        self.gateway.refresh_network_statics()
         evicted = self._evict_partitioned()
         self._evicted += evicted
 
@@ -263,7 +258,6 @@ class NetFaultDaemon:
                 evicted=evicted,
                 generation=generation,
                 link_availability=availability,
-                pool_restarted=pool_restarted,
                 duration_s=time.perf_counter() - started,
             )
         )

@@ -35,13 +35,10 @@ class SnapshotState(ClusterState):
                 for v in self._down:
                     self.evict_allocations(v)
                     self.drop_replicas(v)
-                self.touch()
 
     def evict_allocations(self, node: int) -> tuple[object, ...]:
         ledger = self.nodes[node]
         tags = ledger.allocation_tags()
         for tag in tags:
             ledger.release(tag)
-        if tags:
-            self.touch()
         return tags

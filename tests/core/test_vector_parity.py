@@ -5,9 +5,10 @@ array expressions.  These tests pin the contract that made that safe:
 every vectorised quantity is *bit-identical* to the scalar computation it
 replaced — same IEEE operations in the same order, evaluated elementwise.
 
-Scalar references live either in the production code (``_Kernel.cost_rate``,
-``ClusterState.pair_latency``, the networkx partition path) or inline here
-as straight transliterations of the pre-vectorisation loops.
+Scalar references live in the production code (``_Kernel.cost_rate``,
+``ClusterState.pair_latency``), in test oracles (the networkx partition
+path, ``partition_oracle.py``) or inline here as straight transliterations
+of the pre-vectorisation loops.
 """
 
 import numpy as np
@@ -28,6 +29,7 @@ from repro.core.registry import available_algorithms, make_algorithm
 from repro.experiments.runner import make_instance
 from repro.topology.twotier import TwoTierConfig
 from repro.workload.params import PaperDefaults
+from tests.core.partition_oracle import partition_reference
 
 _TOPOLOGY = TwoTierConfig(
     num_data_centers=2,
@@ -173,16 +175,7 @@ def test_fast_partition_matches_networkx(seed, size):
     )
     for num_parts in (2, 5, max(2, instance.num_placement_nodes // 8)):
         fast = partition_placement_nodes(instance, num_parts, seed)
-        ref = partition_placement_nodes(
-            instance, num_parts, seed, method="networkx"
-        )
-        assert fast == ref
-
-
-def test_partition_rejects_unknown_method():
-    instance = _instance(_SEEDS[0])
-    with pytest.raises(ValueError, match="unknown partition method"):
-        partition_placement_nodes(instance, 2, method="nope")
+        assert fast == partition_reference(instance, num_parts, seed)
 
 
 # -- whole-solution invariants ------------------------------------------

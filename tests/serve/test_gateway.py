@@ -8,7 +8,7 @@ import json
 import numpy as np
 import pytest
 
-from repro.io.serialize import state_to_dict
+from repro.io.serialize import state_from_dict, state_to_dict
 from repro.serve import (
     AdmissionGateway,
     GatewayClient,
@@ -342,6 +342,74 @@ class TestCheckpointing:
         held = run(first())
         assert held > 0
         assert run(second()) == pytest.approx(held)
+
+    def test_recovered_holds_skip_crash_evicted_tags(
+        self, serve_instance, tmp_path
+    ):
+        """Recovered holds span several nodes and one node crashes before
+        they expire: expiry releases every surviving allocation, skips the
+        evicted ones, and leaves the bytes a full per-ledger scan would."""
+        path = tmp_path / "gateway.ckpt.json"
+
+        async def fill():
+            async with running_gateway(
+                serve_instance, checkpoint_path=str(path), hold_factor=1e6
+            ) as gateway:
+                host, port = gateway.address
+                await run_closed_loop(
+                    host,
+                    port,
+                    QueryFactory(serve_instance, seed=6),
+                    num_requests=80,
+                    concurrency=4,
+                )
+                await gateway.stop()
+
+        def crash(state, node):
+            state.mark_down(node)
+            state.evict_allocations(node)
+            state.drop_replicas(node)
+
+        run(fill())
+        restored = state_from_dict(
+            json.loads(path.read_text())["state"], serve_instance
+        )
+        holding = {
+            v: ledger.allocation_tags()
+            for v, ledger in restored.nodes.items()
+            if ledger.allocation_tags()
+        }
+        assert len(holding) >= 3
+        victim = max(holding, key=lambda v: len(holding[v]))
+        split = {t[0] for t in holding[victim]} & {
+            t[0] for v, tags in holding.items() if v != victim for t in tags
+        }
+        assert split  # some query holds compute on the victim and elsewhere
+
+        # Reference: the same crash, then release every surviving tag.
+        crash(restored, victim)
+        for ledger in restored.nodes.values():
+            for tag in ledger.allocation_tags():
+                ledger.release(tag)
+
+        async def expire():
+            gateway = AdmissionGateway(
+                serve_instance,
+                GatewayConfig(checkpoint_path=str(path), recovery_hold_s=0.05),
+            )
+            await gateway.start()
+            try:
+                crash(gateway.state, victim)
+                deadline = asyncio.get_running_loop().time() + 5.0
+                while gateway._holds:
+                    assert asyncio.get_running_loop().time() < deadline
+                    await asyncio.sleep(0.005)
+                gateway.state.check_invariants()
+                return json.dumps(state_to_dict(gateway.state))
+            finally:
+                await gateway.stop()
+
+        assert run(expire()) == json.dumps(state_to_dict(restored))
 
     def test_periodic_checkpoints(self, tiny_instance, tmp_path):
         path = tmp_path / "gateway.ckpt.json"

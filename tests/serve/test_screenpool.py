@@ -1,14 +1,12 @@
-"""Parity and protocol tests for the parallel screening engine.
+"""Parity tests for the gateway's batch screen.
 
-Three layers, mirroring the contract in ``docs/performance.md``:
+Two layers, mirroring the contract in ``docs/performance.md``:
 
-* the batch kernel (:func:`repro.serve.screenpool.screen_rows`) is
-  element-for-element the gateway's original per-pair prefilter;
-* the shared-memory views round-trip arrays consistently under the
-  seqlock protocol;
-* a gateway on the ``batch`` engine (inline or pooled) makes the same
-  decisions — and writes the same checkpoints — as the ``legacy``
-  reference.
+* the stacked kernel (:func:`repro.serve.screenpool.screen_rows`) is
+  element-for-element the original per-pair prefilter, kept as the test
+  oracle in ``prefilter_oracle.py``;
+* a gateway screening with the kernel makes the same decisions — and
+  writes the same checkpoints — as one screening with the oracle.
 """
 
 import asyncio
@@ -26,11 +24,8 @@ from repro.serve import (
     GatewayConfig,
     GatewayClient,
     QueryFactory,
-    ScreenPool,
     ScreenStatics,
-    SharedStateViews,
 )
-from repro.serve.gateway import _MAX_RESCREENS
 from repro.serve.screenpool import (
     build_rows,
     screen_rows,
@@ -38,9 +33,9 @@ from repro.serve.screenpool import (
     verdicts_from_pairs,
 )
 from repro.util.rng import spawn_rng
-from repro.util.validation import ValidationError
 from repro.workload.params import PaperDefaults
 from repro.workload.queries import generate_workload
+from tests.serve.prefilter_oracle import OracleGateway, prefilter
 
 
 def run(coro):
@@ -54,8 +49,8 @@ def screen_instance(small_topology):
 
 
 @contextlib.asynccontextmanager
-async def running_gateway(instance, **config):
-    gateway = AdmissionGateway(instance, GatewayConfig(**config))
+async def running_gateway(instance, gateway_cls=AdmissionGateway, **config):
+    gateway = gateway_cls(instance, GatewayConfig(**config))
     await gateway.start()
     try:
         yield gateway
@@ -79,13 +74,13 @@ def churn_state(gateway, queries, *, down=()):
 
 
 class TestKernelParity:
-    """screen_rows == AdmissionGateway._prefilter, bit for bit."""
+    """screen_rows == the per-pair prefilter oracle, bit for bit."""
 
     def _assert_parity(self, gateway, queries):
         statics = ScreenStatics.from_instance(gateway.instance)
         batch = [SimpleNamespace(query=q) for q in queries]
         available = gateway.state.available_array()
-        expected = gateway._prefilter(batch, available)
+        expected = prefilter(gateway, batch, available)
         rows = build_rows(queries, statics)
         view = snapshot_state(gateway.state, statics)
         np.testing.assert_array_equal(view.free_ghz, available)
@@ -160,122 +155,12 @@ class TestBuildRows:
             )
 
 
-class TestSharedViews:
-    def test_publish_read_round_trip(self):
-        free = np.array([1.5, 2.0, 0.25])
-        up = np.array([True, False, True])
-        slots = np.array([0, 2], dtype=np.int64)
-        presence = np.array([[True, False, True], [False, False, True]])
-        with SharedStateViews.create(2, 3) as views:
-            views.publish(7, free, up, slots, presence)
-            snap = views.read_snapshot()
-            assert snap.generation == 7
-            np.testing.assert_array_equal(snap.free_ghz, free)
-            np.testing.assert_array_equal(snap.up, up)
-            np.testing.assert_array_equal(snap.slots_left, slots)
-            np.testing.assert_array_equal(snap.presence, presence)
-            assert snap.any_down
-
-    def test_snapshot_is_a_copy(self):
-        with SharedStateViews.create(1, 2) as views:
-            views.publish(
-                1,
-                np.array([1.0, 2.0]),
-                np.ones(2, dtype=bool),
-                np.array([1], dtype=np.int64),
-                np.ones((1, 2), dtype=bool),
-            )
-            snap = views.read_snapshot()
-            views.publish(
-                2,
-                np.array([9.0, 9.0]),
-                np.ones(2, dtype=bool),
-                np.array([0], dtype=np.int64),
-                np.zeros((1, 2), dtype=bool),
-            )
-            np.testing.assert_array_equal(snap.free_ghz, [1.0, 2.0])
-            assert views.read_snapshot().generation == 2
-
-    def test_attach_sees_writer(self):
-        with SharedStateViews.create(1, 2) as writer:
-            writer.publish(
-                3,
-                np.array([4.0, 5.0]),
-                np.ones(2, dtype=bool),
-                np.array([2], dtype=np.int64),
-                np.zeros((1, 2), dtype=bool),
-            )
-            reader = SharedStateViews.attach(writer.name, 1, 2)
-            try:
-                snap = reader.read_snapshot()
-                assert snap.generation == 3
-                np.testing.assert_array_equal(snap.free_ghz, [4.0, 5.0])
-            finally:
-                reader.close()
-
-    def test_in_flight_write_blocks_readers(self):
-        with SharedStateViews.create(1, 1) as views:
-            views._header[0] = 1  # simulate a writer mid-publish (odd seq)
-            with pytest.raises(RuntimeError, match="consistent view"):
-                views.read_snapshot(max_retries=4)
-
-    def test_size_mismatch_rejected(self):
-        with SharedStateViews.create(1, 1) as views:
-            with pytest.raises(ValueError, match="smaller"):
-                SharedStateViews(views._shm, 100, 100, owner=False)
-
-
-class TestScreenPool:
-    def test_pool_matches_inline_kernel(self, screen_instance):
-        gateway = AdmissionGateway(screen_instance)
-        churn_state(gateway, screen_instance.queries[:30])
-        statics = ScreenStatics.from_instance(screen_instance)
-        rows = build_rows(list(screen_instance.queries), statics)
-        view = snapshot_state(gateway.state, statics)
-        expected = screen_rows(statics, view, rows)
-        with ScreenPool(statics, num_workers=2) as pool:
-            generation = pool.publish(gateway.state)
-            assert generation == gateway.state.generation
-            pair_ok, oldest = pool.screen(rows, generation)
-            assert oldest == generation
-            np.testing.assert_array_equal(pair_ok, expected)
-
-    def test_generation_tracks_mutation(self, screen_instance):
-        statics = ScreenStatics.from_instance(screen_instance)
-        gateway = AdmissionGateway(screen_instance)
-        with ScreenPool(statics, num_workers=1) as pool:
-            first = pool.publish(gateway.state)
-            churn_state(gateway, screen_instance.queries[:3])
-            second = pool.publish(gateway.state)
-            assert second > first
-
-    def test_bad_worker_count_rejected(self, screen_instance):
-        statics = ScreenStatics.from_instance(screen_instance)
-        with pytest.raises(ValidationError):
-            ScreenPool(statics, num_workers=0)
-
-    def test_screen_before_start_raises(self, screen_instance):
-        statics = ScreenStatics.from_instance(screen_instance)
-        pool = ScreenPool(statics, num_workers=1)
-        rows = build_rows(list(screen_instance.queries[:2]), statics)
-        with pytest.raises(RuntimeError, match="not started"):
-            pool.screen(rows, 0)
-
-
-class TestConfig:
-    def test_unknown_engine_rejected(self):
-        with pytest.raises(ValidationError, match="screen_engine"):
-            GatewayConfig(screen_engine="turbo")
-
-    def test_legacy_engine_refuses_pool(self):
-        with pytest.raises(ValidationError, match="batch"):
-            GatewayConfig(screen_engine="legacy", screen_workers=4)
-
-
-async def drive(instance, n_queries, *, seed=13, fail_at=None, **config):
+async def drive(instance, n_queries, gateway_cls, *, seed=13, fail_at=None):
     """Run one gateway scenario; returns (responses, checkpoint dict)."""
     responses = []
-    async with running_gateway(instance, hold_factor=50.0, **config) as gateway:
+    async with running_gateway(
+        instance, gateway_cls, hold_factor=50.0
+    ) as gateway:
         host, port = gateway.address
         factory = QueryFactory(instance, seed=seed)
         async with await GatewayClient.connect(host, port) as client:
@@ -289,68 +174,19 @@ async def drive(instance, n_queries, *, seed=13, fail_at=None, **config):
 
 
 class TestGoldenParity:
-    """batch engine == legacy engine, decisions and checkpoints alike."""
+    """kernel screen == oracle screen, decisions and checkpoints alike."""
 
     def test_batch_engine_is_decision_identical(self, screen_instance):
-        legacy = run(drive(screen_instance, 60, screen_engine="legacy"))
-        batch = run(drive(screen_instance, 60, screen_engine="batch"))
-        assert json.dumps(batch[0]) == json.dumps(legacy[0])
-        assert json.dumps(batch[1]) == json.dumps(legacy[1])
+        oracle = run(drive(screen_instance, 60, OracleGateway))
+        batch = run(drive(screen_instance, 60, AdmissionGateway))
+        assert json.dumps(batch[0]) == json.dumps(oracle[0])
+        assert json.dumps(batch[1]) == json.dumps(oracle[1])
 
     def test_parity_survives_faults(self, screen_instance):
-        legacy = run(
-            drive(screen_instance, 60, fail_at=25, screen_engine="legacy")
-        )
-        batch = run(
-            drive(screen_instance, 60, fail_at=25, screen_engine="batch")
-        )
-        assert json.dumps(batch[0]) == json.dumps(legacy[0])
-        assert json.dumps(batch[1]) == json.dumps(legacy[1])
-
-    def test_pooled_engine_matches_decisions(self, screen_instance):
-        inline = run(drive(screen_instance, 50, screen_workers=1))
-        pooled = run(drive(screen_instance, 50, screen_workers=2))
-        assert [r["result"] for r in pooled[0]] == [
-            r["result"] for r in inline[0]
-        ]
-        assert json.dumps(pooled[1]) == json.dumps(inline[1])
-
-
-class TestStaleRescreen:
-    def test_persistent_staleness_falls_back_inline(self, screen_instance):
-        async def scenario():
-            async with running_gateway(
-                screen_instance, screen_workers=2
-            ) as gateway:
-                statics = gateway._statics
-                queries = list(screen_instance.queries[:8])
-                rows = build_rows(queries, statics)
-
-                def always_stale(rows, generation):
-                    return np.ones(len(rows), dtype=bool), generation - 1
-
-                gateway._pool.screen = always_stale
-                batch = [SimpleNamespace(query=q) for q in queries]
-                available = gateway.state.available_array()
-                verdict = await gateway._screen(batch, available)
-                # Inline fallback still produced the exact screen.
-                assert verdict == gateway._prefilter(batch, available)
-                assert gateway.screen_stale_rescreens == _MAX_RESCREENS
-
-        run(scenario())
-
-    def test_stale_counter_stays_out_of_checkpoints(self, screen_instance, tmp_path):
-        async def scenario():
-            path = tmp_path / "ckpt.json"
-            async with running_gateway(
-                screen_instance, checkpoint_path=str(path)
-            ) as gateway:
-                gateway.screen_stale_rescreens = 99
-                gateway.checkpoint()
-            payload = json.loads(path.read_text())
-            assert "screen_stale_rescreens" not in payload["counters"]
-
-        run(scenario())
+        oracle = run(drive(screen_instance, 60, OracleGateway, fail_at=25))
+        batch = run(drive(screen_instance, 60, AdmissionGateway, fail_at=25))
+        assert json.dumps(batch[0]) == json.dumps(oracle[0])
+        assert json.dumps(batch[1]) == json.dumps(oracle[1])
 
 
 class TestStatusScreenPayload:
@@ -364,8 +200,7 @@ class TestStatusScreenPayload:
                         await client.submit(factory.make())
                     status = await client.status()
                 screen = status["screen"]
-                assert screen["engine"] == "batch"
-                assert screen["workers"] == 1
+                assert sorted(screen) == ["commit_s", "screen_s"]
                 assert screen["screen_s"]["count"] > 0
                 assert screen["commit_s"]["count"] > 0
                 hist = status["admission_latency"]
@@ -379,7 +214,7 @@ class TestStatusScreenPayload:
                 assert sum(hist["counts"]) == batched > 0
                 assert hist["p50_s"] is not None
                 rendered = GatewayClient.render_status(status)
-                assert "engine=batch" in rendered
+                assert "screen/batch" in rendered
                 assert "admission latency" in rendered
 
         run(scenario())
